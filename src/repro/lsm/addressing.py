@@ -66,30 +66,49 @@ class AddressingScheme(enum.Enum):
 
     def encode(self, addr: ValueAddress, nand_page_size: int) -> int:
         """Pack (lpn, offset) into an integer; size travels separately."""
-        bits = self.offset_bits(nand_page_size)
-        if self is AddressingScheme.FINE:
-            if addr.offset >= nand_page_size:
+        return AddressCodec(self, nand_page_size).encode(addr)
+
+    def decode(self, encoded: int, size: int, nand_page_size: int) -> ValueAddress:
+        return AddressCodec(self, nand_page_size).decode(encoded, size)
+
+
+class AddressCodec:
+    """An :class:`AddressingScheme` bound to one NAND page size.
+
+    The offset shift and mask are resolved once here, so a caller with a
+    fixed scheme and page size (an SSTable) does not recompute them for
+    every entry it packs or unpacks.
+    """
+
+    __slots__ = ("page_size", "bits", "mask", "unit")
+
+    def __init__(self, scheme: AddressingScheme, nand_page_size: int) -> None:
+        self.page_size = nand_page_size
+        self.bits = scheme.offset_bits(nand_page_size)
+        self.mask = (1 << self.bits) - 1
+        #: Bytes per offset step: 1 (FINE) or one 4 KiB slot (PAGE).
+        self.unit = 1 if scheme is AddressingScheme.FINE else MEM_PAGE_SIZE
+
+    def encode(self, addr: ValueAddress) -> int:
+        if self.unit == 1:
+            if addr.offset >= self.page_size:
                 raise VLogError(
-                    f"offset {addr.offset} outside NAND page of {nand_page_size}"
+                    f"offset {addr.offset} outside NAND page of {self.page_size}"
                 )
-            return (addr.lpn << bits) | addr.offset
+            return (addr.lpn << self.bits) | addr.offset
         if not is_aligned(addr.offset, MEM_PAGE_SIZE):
             raise VLogError(
                 f"page-unit addressing cannot encode byte offset {addr.offset}; "
                 "fine-grained packing requires AddressingScheme.FINE (§3.4)"
             )
         slot = addr.offset // MEM_PAGE_SIZE
-        if slot >= nand_page_size // MEM_PAGE_SIZE:
+        if slot >= self.page_size // MEM_PAGE_SIZE:
             raise VLogError(f"slot {slot} outside NAND page")
-        return (addr.lpn << bits) | slot
+        return (addr.lpn << self.bits) | slot
 
-    def decode(self, encoded: int, size: int, nand_page_size: int) -> ValueAddress:
-        bits = self.offset_bits(nand_page_size)
-        mask = (1 << bits) - 1
-        lpn = encoded >> bits
-        raw_offset = encoded & mask
-        if self is AddressingScheme.FINE:
-            offset = raw_offset
-        else:
-            offset = raw_offset * MEM_PAGE_SIZE
-        return ValueAddress(lpn=lpn, offset=offset, size=size)
+    def decode(self, encoded: int, size: int) -> ValueAddress:
+        return ValueAddress(
+            lpn=encoded >> self.bits,
+            offset=(encoded & self.mask) * self.unit,
+            size=size,
+        )

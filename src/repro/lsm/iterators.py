@@ -8,7 +8,7 @@ compaction all share.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.lsm.addressing import ValueAddress
 
@@ -20,10 +20,11 @@ def merge_entries(sources: list[Iterable[Entry]]) -> Iterator[Entry]:
 
     Yields every surviving version including tombstones (address ``None``);
     the caller decides whether tombstones are dropped (bottom-level
-    compaction) or kept (intermediate compaction, read path).
+    compaction) or kept (intermediate compaction, read path). Only keys are
+    compared, so compaction merges ``(key, raw entry bytes)`` the same way.
     """
     iters = [iter(src) for src in sources]
-    heap: list[tuple[bytes, int, ValueAddress | None]] = []
+    heap: list[tuple[bytes, int, Any]] = []
     for priority, it in enumerate(iters):
         for key, addr in it:
             heapq.heappush(heap, (key, priority, addr))
@@ -40,8 +41,12 @@ def merge_entries(sources: list[Iterable[Entry]]) -> Iterator[Entry]:
         yield key, addr
 
 
-def drop_tombstones(entries: Iterable[Entry]) -> Iterator[Entry]:
-    """Strip tombstones (terminal compaction into the bottom level)."""
+def drop_tombstones(
+    entries: Iterable[Entry],
+    is_tombstone: Callable[[Any], bool] = lambda addr: addr is None,
+) -> Iterator[Entry]:
+    """Strip tombstones (terminal compaction into the bottom level);
+    ``is_tombstone`` reads the flag of a still-encoded entry."""
     for key, addr in entries:
-        if addr is not None:
+        if not is_tombstone(addr):
             yield key, addr

@@ -18,15 +18,20 @@ PinK/iLSM-class devices):
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Iterator
 
 from repro.errors import LSMError
 from repro.lsm.addressing import AddressingScheme
 from repro.lsm.iterators import Entry, drop_tombstones, merge_entries
 from repro.lsm.space import PageSpace
-from repro.lsm.sstable import SSTable
+from repro.lsm.sstable import RawEntry, SSTable, raw_is_tombstone
 from repro.nand.ftl import PageMappedFTL
 from repro.sim.stats import MetricSet
+
+
+_MIN_KEY = attrgetter("min_key")
 
 
 class LeveledStore:
@@ -110,13 +115,13 @@ class LeveledStore:
             found, addr = table.get(key, self.ftl)
             if found:
                 return True, addr
-        for level in range(1, self.max_levels):
-            for table in self.levels[level]:
-                if table.may_contain(key):
-                    found, addr = table.get(key, self.ftl)
-                    if found:
-                        return True, addr
-                    break  # non-overlapping: only one table can hold it
+        for tables in self.levels[1:]:
+            # Sorted by min_key and non-overlapping: one candidate table.
+            idx = bisect_right(tables, key, key=_MIN_KEY) - 1
+            if idx >= 0 and tables[idx].may_contain(key):
+                found, addr = tables[idx].get(key, self.ftl)
+                if found:
+                    return True, addr
         return False, None
 
     def iter_sources_from(self, start_key: bytes) -> list[Iterator[Entry]]:
@@ -139,73 +144,51 @@ class LeveledStore:
             if guard > 64:
                 raise LSMError("compaction did not converge (loop guard)")
             if len(self.levels[0]) >= self.l0_compaction_trigger:
-                self._compact_l0()
+                self._compact(0, len(self.levels[0]))
                 continue
             for level in range(1, self.max_levels - 1):
                 if self.level_pages(level) > self.level_page_budget(level):
-                    self._compact_level(level)
+                    self._compact(level, 1)
                     break
             else:
                 return
 
-    def _build_tables(self, entries: Iterator[Entry]) -> list[SSTable]:
-        """Split a merged entry stream into budget-sized output tables."""
+    def _build_tables(self, entries: Iterator[RawEntry]) -> list[SSTable]:
+        """Split a merged raw-entry stream into budget-sized output tables."""
         out: list[SSTable] = []
-        page_size = self.ftl.flash.geometry.page_size
-        batch: list[Entry] = []
+        batch: list[RawEntry] = []
         batch_bytes = 0
-        budget_bytes = self.table_page_budget * page_size
-        for key, addr in entries:
-            entry_bytes = 1 + len(key) + 13
-            if batch and batch_bytes + entry_bytes > budget_bytes:
-                out.append(SSTable.build(batch, self.ftl, self.space, self.scheme))
+        budget_bytes = self.table_page_budget * self.ftl.flash.geometry.page_size
+        for key, raw in entries:
+            if batch and batch_bytes + len(raw) > budget_bytes:
+                out.append(SSTable.build_raw(batch, self.ftl, self.space, self.scheme))
                 batch, batch_bytes = [], 0
-            batch.append((key, addr))
-            batch_bytes += entry_bytes
+            batch.append((key, raw))
+            batch_bytes += len(raw)
         if batch:
-            out.append(SSTable.build(batch, self.ftl, self.space, self.scheme))
+            out.append(SSTable.build_raw(batch, self.ftl, self.space, self.scheme))
         self.metrics.counter("tables_written").add(len(out))
         return out
 
-    def _compact_l0(self) -> None:
-        """Merge all of L0 plus overlapping L1 tables into new L1 tables."""
-        inputs_new = list(self.levels[0])  # newest first already
-        lo = min(t.min_key for t in inputs_new)
-        hi = max(t.max_key for t in inputs_new)
-        overlapping = [t for t in self.levels[1] if t.key_range_overlaps(lo, hi)]
-        keep = [t for t in self.levels[1] if not t.key_range_overlaps(lo, hi)]
-        sources = [t.iter_entries(self.ftl) for t in inputs_new + overlapping]
-        merged = merge_entries(sources)
-        if self.lowest_populated_level() <= 1:
-            merged = drop_tombstones(merged)
-        new_tables = self._build_tables(merged)
-        self.levels[0] = []
-        self.levels[1] = sorted(keep + new_tables, key=lambda t: t.min_key)
-        for t in inputs_new + overlapping:
-            self._release(t)
-        self.metrics.counter("compactions").add(1)
-
-    def _compact_level(self, level: int) -> None:
-        """Push one table from ``level`` down into ``level+1``."""
-        if not self.levels[level]:
-            return
-        victim = self.levels[level][0]  # oldest/leftmost
+    def _compact(self, level: int, count: int) -> None:
+        """Merge the first ``count`` tables of ``level`` (all of L0, newest
+        first; else the oldest/leftmost table) and the overlapping part of
+        ``level + 1`` into new tables there. Entries move as raw bytes:
+        every table of this store shares scheme and page size, so nothing
+        is decoded or re-encoded on the way."""
+        inputs = self.levels[level][:count]
         below = self.levels[level + 1]
-        overlapping = [
-            t for t in below if t.key_range_overlaps(victim.min_key, victim.max_key)
-        ]
-        keep = [t for t in below if t not in overlapping]
-        sources = [victim.iter_entries(self.ftl)] + [
-            t.iter_entries(self.ftl) for t in overlapping
-        ]
-        merged = merge_entries(sources)
+        lo = min(t.min_key for t in inputs)
+        hi = max(t.max_key for t in inputs)
+        overlapping = [t for t in below if t.key_range_overlaps(lo, hi)]
+        keep = [t for t in below if not t.key_range_overlaps(lo, hi)]
+        merged = merge_entries([t.iter_raw(self.ftl) for t in inputs + overlapping])
         if self.lowest_populated_level() <= level + 1:
-            merged = drop_tombstones(merged)
+            merged = drop_tombstones(merged, raw_is_tombstone)
         new_tables = self._build_tables(merged)
-        self.levels[level] = self.levels[level][1:]
-        self.levels[level + 1] = sorted(keep + new_tables, key=lambda t: t.min_key)
-        self._release(victim)
-        for t in overlapping:
+        self.levels[level] = self.levels[level][count:]
+        self.levels[level + 1] = sorted(keep + new_tables, key=_MIN_KEY)
+        for t in inputs + overlapping:
             self._release(t)
         self.metrics.counter("compactions").add(1)
 

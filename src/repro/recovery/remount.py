@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from repro.core.packing import NandPageBuffer, make_policy
 from repro.lsm.addressing import ValueAddress
 from repro.lsm.space import PageSpace
-from repro.lsm.sstable import SSTable, _PageMeta, decode_entries
+from repro.lsm.sstable import SSTable
 from repro.lsm.tree import LSMConfig, LSMTree
 from repro.lsm.vlog import VLog
 from repro.memory.device import DeviceDRAM
@@ -271,24 +271,11 @@ def remount(device):
 
     # Reattach the manifest's SSTables; fence keys come from re-reading
     # each index page (more mount-time NAND reads, honestly charged).
-    scheme = lsm.config.scheme
     tables_restored = 0
     max_table_id = SSTable._next_id
     for level_index, spec in table_specs:
-        metas = []
-        for lpn in spec["pages"]:
-            entries = decode_entries(ftl.read(lpn), scheme, page_size)
-            if not entries:
-                raise RecoveryError(f"restored SSTable page {lpn} is empty")
-            metas.append(
-                _PageMeta(
-                    lpn=lpn,
-                    first_key=entries[0][0],
-                    last_key=entries[-1][0],
-                )
-            )
-        table = SSTable(
-            spec["id"], metas, spec["entries"], scheme, page_size
+        table = SSTable.restore(
+            spec["id"], spec["pages"], spec["entries"], ftl, lsm.config.scheme
         )
         lsm.store.levels[level_index].append(table)
         tables_restored += 1

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.errors import LSMError
+from repro.faults import FaultInjector, FaultPlan, FaultSite, ScriptedFault
 from repro.lsm.addressing import AddressingScheme, ValueAddress
 from repro.lsm.space import PageSpace
 from repro.lsm.sstable import SSTable, decode_entries, encode_entry
+from repro.nand.flash import NandFlash
+from repro.nand.ftl import PageMappedFTL
 
 
 @pytest.fixture
@@ -119,6 +122,67 @@ class TestIteration:
     def test_iter_from_beyond_range_is_empty(self, ftl, space):
         table = SSTable.build(items(5), ftl, space, SCHEME)
         assert list(table.iter_entries(ftl, b"zzz")) == []
+
+
+class TestMalformedPage:
+    def test_header_count_past_the_page(self):
+        blob = encode_entry(b"kk", addr(3), SCHEME, 16384)
+        page = bytes([2, 0]) + blob + bytes(5)  # counts two, holds one
+        with pytest.raises(LSMError, match="malformed SSTable page"):
+            decode_entries(page, SCHEME, 16384)
+        with pytest.raises(LSMError, match="malformed SSTable page"):
+            # 15-byte runs of 0x01 frame as one-byte-key tombstones.
+            decode_entries(b"\xff\xff".ljust(16384, b"\x01"), SCHEME, 16384)
+
+    def test_truncated_header(self):
+        with pytest.raises(LSMError, match="malformed SSTable page"):
+            decode_entries(b"\x01", SCHEME, 16384)
+
+    def test_key_size_past_the_page_names_the_lpn(self, ftl, space):
+        table = SSTable.build(items(3000), ftl, space, SCHEME)
+        lpn = table.lpns[0]  # a full page: its last entry ends near the edge
+        page = bytearray(ftl.read(lpn))
+        last_key = decode_entries(page, SCHEME, table.page_size)[-1][0]
+        page[page.rindex(bytes([len(last_key)]) + last_key)] = 255
+        ftl.write(lpn, bytes(page))
+        with pytest.raises(LSMError, match=f"LPN {lpn}"):
+            table.get(last_key, ftl)
+        with pytest.raises(LSMError, match=f"LPN {lpn}"):
+            list(table.iter_entries(ftl))
+
+
+class TestFaultyMedia:
+    def test_ecc_corrected_index_page_still_resolves_the_key(
+        self, tiny_geometry, clock, latency, space
+    ):
+        plan = FaultPlan(
+            scripted=(ScriptedFault(site=FaultSite.READ, nth=1, bitflips=3),)
+        )
+        flash = NandFlash(tiny_geometry, clock, latency, injector=FaultInjector(plan))
+        ftl = PageMappedFTL(flash, gc_reserve_blocks=2, ecc_correctable_bits=8)
+        table = SSTable.build(items(100), ftl, space, SCHEME)
+        assert table.get(b"key00042", ftl) == (True, addr(42))  # the faulted read
+        assert ftl.metrics.counter("ecc_corrected_bits").value == 3
+
+
+class TestRestore:
+    def test_restore_recovers_fence_keys_with_one_read_per_page(self, ftl, space):
+        built = SSTable.build(items(3000), ftl, space, SCHEME)
+        reads_before = ftl.flash.page_reads
+        table = SSTable.restore(
+            built.table_id, built.lpns, built.entry_count, ftl, SCHEME
+        )
+        assert ftl.flash.page_reads == reads_before + built.page_count
+        assert (table.min_key, table.max_key) == (built.min_key, built.max_key)
+        assert list(table.iter_entries(ftl)) == items(3000)
+        for probe in (0, 1499, 2999):
+            assert table.get(f"key{probe:05d}".encode(), ftl) == (True, addr(probe))
+
+    def test_restore_rejects_an_empty_page(self, ftl, space):
+        built = SSTable.build(items(10), ftl, space, SCHEME)
+        ftl.write(built.lpns[0], bytes(built.page_size))
+        with pytest.raises(LSMError, match="is empty"):
+            SSTable.restore(1, built.lpns, 10, ftl, SCHEME)
 
 
 class TestRelease:
